@@ -23,6 +23,7 @@ Registered oracles
 ``synthesis-replay``    gate-level scan circuit replays equal table replays
 ``cache-replay``        warm artifact-cache replays bit-identical to cold runs
 ``atpg-vs-faultsim``    structural ATPG verdicts match exhaustive detectability
+``detect-ppsfp-vs-cone`` PPSFP-table detectability equals the cone walk
 """
 
 from __future__ import annotations
@@ -390,6 +391,29 @@ def _synthesis_replay(case: FuzzCase) -> None:
             raise OracleFailure(
                 f"test {test}: netlist replay {gate} != table replay {functional}"
             )
+
+
+@_oracle(
+    "detect-ppsfp-vs-cone",
+    "detectability reduced from PPSFP tables equals the exhaustive cone walk",
+)
+def _detect_ppsfp_vs_cone(case: FuzzCase) -> None:
+    from repro.gatelevel.detectability import detectable_faults
+    from repro.gatelevel.dispatch import detectable_partition
+
+    _gate_level_case(case)
+    circuit = case.scan_circuit()
+    faults = case.gate_faults()
+    _require(bool(faults), "empty gate-level fault universe")
+    # Both judge all 2**(SV+PI) patterns, unassigned state codes included.
+    tables = detectable_partition(PpsfpSimulator(circuit, case.table, faults))
+    cone = detectable_faults(circuit.netlist, faults)
+    if tables != cone:
+        differ = sorted(fault.site() for fault in tables[0] ^ cone[0])
+        raise OracleFailure(
+            f"{len(differ)} faults judged differently, e.g. {differ[:4]} "
+            f"(tables: {len(tables[0])} detectable, cone: {len(cone[0])})"
+        )
 
 
 @_oracle(

@@ -59,7 +59,7 @@ from repro.gatelevel.stuck_at import StuckAtFault
 from repro.obs.metrics import current_registry
 from repro.obs.trace import span as trace_span
 
-__all__ = ["PpsfpSimulator", "SLAB_BYTES_BUDGET"]
+__all__ = ["COMPARE_CELLS", "PpsfpSimulator", "SLAB_BYTES_BUDGET"]
 
 Fault = StuckAtFault | BridgingFault
 
@@ -67,6 +67,10 @@ Fault = StuckAtFault | BridgingFault
 #: ``(n_gates, slab_rows, block_words)`` value array must fit here, which
 #: sizes ``slab_rows``.  Purely a speed/memory knob — never affects results.
 SLAB_BYTES_BUDGET = 64 << 20
+
+#: Table cells per row block when :meth:`PpsfpSimulator.detectable_rows`
+#: compares rows against the fault-free codes; bounds its temporaries.
+COMPARE_CELLS = 1 << 20
 
 
 def _rows_array(rows: list[int]) -> np.ndarray:
@@ -82,6 +86,31 @@ def _local_rows(rows: np.ndarray, lo: int, hi: int) -> np.ndarray:
     start = int(np.searchsorted(rows, lo))
     stop = int(np.searchsorted(rows, hi))
     return rows[start:stop] - lo
+
+
+def _fold_codes(
+    values: np.ndarray, lines: Sequence[int], n_bits: int
+) -> np.ndarray:
+    """Fold the lanes of ``lines`` into per-pattern codes, first line MSB.
+
+    ``values`` is indexed ``[line, row, word]``; the result has shape
+    ``(rows, words * 64)``, one code per row and pattern.  Codes that fit a
+    byte accumulate in uint8 (4x less traffic); a store into a uint32
+    table casts on assignment.
+    """
+    n_rows, n_words = values.shape[1], values.shape[2]
+    dtype = np.uint8 if n_bits <= 8 else np.uint32
+    codes = np.zeros((n_rows, n_words * 64), dtype=dtype)
+    for j, line in enumerate(lines):
+        # uint64 lanes viewed as bytes unpack little-endian to pattern
+        # order: bit p of a lane is bit p%8 of byte p//8 on this (little
+        # -endian) platform, exactly what bitorder="little" reads.
+        lanes = np.ascontiguousarray(values[line])
+        bits = np.unpackbits(lanes.view(np.uint8), axis=1, bitorder="little")
+        if dtype is not np.uint8:
+            bits = bits.astype(dtype)
+        codes |= bits << dtype(n_bits - 1 - j)
+    return codes
 
 
 class PpsfpSimulator:
@@ -355,35 +384,45 @@ class PpsfpSimulator:
         word_hi: int,
     ) -> None:
         """Fold output-line lanes into next-code / output-combo table cells."""
-        n_rows = hi - lo
-        n_words = word_hi - word_lo
         pattern_lo = word_lo * 64
-        width = min(n_words * 64, self._n_patterns - pattern_lo)
-
-        def unpack(line: int) -> np.ndarray:
-            # uint64 lanes viewed as bytes unpack little-endian to pattern
-            # order: bit p of a lane is bit p%8 of byte p//8 on this (little
-            # -endian) platform, exactly what bitorder="little" reads.
-            lanes = np.ascontiguousarray(values[line])
-            return np.unpackbits(lanes.view(np.uint8), axis=1, bitorder="little")
-
-        def fold(lines: Sequence[int], n_bits: int) -> np.ndarray:
-            # Accumulate in uint8 when the codes fit a byte (4x less
-            # traffic); the store into the uint32 table casts on assignment.
-            dtype = np.uint8 if n_bits <= 8 else np.uint32
-            codes = np.zeros((n_rows, n_words * 64), dtype=dtype)
-            for j, line in enumerate(lines):
-                bits = unpack(line)
-                if dtype is not np.uint8:
-                    bits = bits.astype(dtype)
-                codes |= bits << dtype(n_bits - 1 - j)
-            return codes
-
-        sv, po = self._sv, self._po
-        next_codes = fold(self.circuit.circuit.next_state_lines, sv)
-        out_codes = fold(self.circuit.circuit.primary_output_lines, po)
+        width = min((word_hi - word_lo) * 64, self._n_patterns - pattern_lo)
+        lines = self.circuit.circuit
+        next_codes = _fold_codes(values, lines.next_state_lines, self._sv)
+        out_codes = _fold_codes(values, lines.primary_output_lines, self._po)
         self._next[lo:hi, pattern_lo : pattern_lo + width] = next_codes[:, :width]
         self._out[lo:hi, pattern_lo : pattern_lo + width] = out_codes[:, :width]
+
+    # -------------------------------------------------------- detectability
+
+    def detectable_rows(self) -> np.ndarray:
+        """Per fault row: is the fault combinationally detectable?
+
+        Under full scan a fault is detectable exactly when its table row
+        differs from the fault-free ``(next, out)`` codes on some of the
+        ``2**(SV+PI)`` patterns — the question
+        :func:`repro.gatelevel.detectability.detectable_faults` answers
+        with a cone walk.  The fault-free codes come from one netlist
+        evaluation; the rows are compared in blocks of at most
+        ``COMPARE_CELLS`` cells, so no faults x patterns temporary exists.
+        """
+        n_faults, n_patterns = len(self.faults), self._n_patterns
+        detected = np.zeros(n_faults, dtype=bool)
+        if n_faults == 0:
+            return detected
+        lines = self.circuit.circuit
+        good = self.circuit.netlist.evaluate(
+            exhaustive_pattern_words(self._sv + self._pi)
+        )[:, None, :]
+        good_next = _fold_codes(good, lines.next_state_lines, self._sv)
+        good_out = _fold_codes(good, lines.primary_output_lines, self._po)
+        good_next, good_out = good_next[0, :n_patterns], good_out[0, :n_patterns]
+        step = max(1, COMPARE_CELLS // n_patterns)
+        for lo in range(0, n_faults, step):
+            hi = min(lo + step, n_faults)
+            rows = detected[lo:hi]
+            np.any(self._next[lo:hi] != good_next, axis=1, out=rows)
+            rows |= np.any(self._out[lo:hi] != good_out, axis=1)
+        return detected
 
     # ------------------------------------------------------------ execution
 

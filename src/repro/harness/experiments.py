@@ -156,38 +156,20 @@ class CircuitStudy:
 
     @cached_property
     def stuck_at_detectability(self) -> tuple[set, set]:
-        from repro.perf.artifacts import cached_detectability
-
-        # Certificate-proved representatives skip the exhaustive oracle: a
-        # verified certificate already places them in the undetectable bin,
-        # so the merged partition equals grading the full list.
-        proven = self.stuck_at_proven
-        live = [f for f in self.stuck_at_faults if f not in proven]
-        detectable, undetectable = cached_detectability(
-            self.scan_circuit.netlist, live, circuit=self.name
-        )
-        return detectable, undetectable | set(proven)
+        return self._stuck_at_graded[0]
 
     @cached_property
     def stuck_at_selection(self) -> EffectiveSelection:
-        _, undetectable = self.stuck_at_detectability
-        live = [
-            f for f in self.stuck_at_faults if f not in self.stuck_at_proven
-        ]
-        with trace_span(
-            "faultsim.select", circuit=self.name, model="stuck_at",
-            n_faults=len(live),
-        ):
-            simulator = make_fault_simulator(
-                self.scan_circuit, self.table, live, self.options.faultsim,
-                total_test_cycles=self.generation.total_length,
-            )
-            return select_effective_tests(
-                self.generation.test_set,
-                simulator.make_effective_simulator(),
-                self.stuck_at_faults,
-                stop_when_exhausted=undetectable,
-            )
+        return self._stuck_at_graded[1]
+
+    @cached_property
+    def _stuck_at_graded(self) -> tuple[tuple[set, set], EffectiveSelection]:
+        # Certificate-proved representatives are never simulated: a verified
+        # certificate already places them in the undetectable bin, so the
+        # merged partition equals grading the full list.
+        proven = self.stuck_at_proven
+        live = [f for f in self.stuck_at_faults if f not in proven]
+        return self._grade("stuck_at", self.stuck_at_faults, live, proven)
 
     @property
     def stuck_at_split(self):
@@ -210,34 +192,57 @@ class CircuitStudy:
 
     @cached_property
     def bridging_detectability(self) -> tuple[set, set]:
-        from repro.perf.artifacts import cached_detectability
-
-        return cached_detectability(
-            self.scan_circuit.netlist, self.bridging_faults, circuit=self.name
-        )
+        return self._bridging_graded[0]
 
     @cached_property
     def bridging_selection(self) -> EffectiveSelection:
-        _, undetectable = self.bridging_detectability
-        if not self.bridging_faults:
-            return select_effective_tests(
-                self.generation.test_set, lambda test, remaining: set(), ()
+        return self._bridging_graded[1]
+
+    @cached_property
+    def _bridging_graded(self) -> tuple[tuple[set, set], EffectiveSelection]:
+        faults = self.bridging_faults
+        return self._grade("bridging", faults, faults)
+
+    def _grade(
+        self,
+        model: str,
+        universe: Sequence,
+        simulated: Sequence,
+        proven: frozenset = frozenset(),
+    ) -> tuple[tuple[set, set], EffectiveSelection]:
+        """Detectability partition and effective-test selection of one model.
+
+        One fault simulator over ``simulated`` serves both: the partition is
+        derived from it (its PPSFP tables, or the cone walk for a big-int
+        simulator), then the selection runs on it, and it is dropped when
+        this returns.  ``proven`` faults join the undetectable bin unjudged.
+        """
+        from repro.perf.artifacts import cached_detectability
+
+        test_set = self.generation.test_set
+        if not universe:
+            return (set(), set()), select_effective_tests(
+                test_set, lambda test, remaining: set(), ()
             )
         with trace_span(
-            "faultsim.select", circuit=self.name, model="bridging",
-            n_faults=len(self.bridging_faults),
+            "faultsim.select", circuit=self.name, model=model,
+            n_faults=len(simulated),
         ):
             simulator = make_fault_simulator(
-                self.scan_circuit, self.table, self.bridging_faults,
-                self.options.faultsim,
+                self.scan_circuit, self.table, simulated, self.options.faultsim,
                 total_test_cycles=self.generation.total_length,
             )
-            return select_effective_tests(
-                self.generation.test_set,
+            detectable, undetectable = cached_detectability(
+                simulator, circuit=self.name
+            )
+            undetectable |= proven
+            selection = select_effective_tests(
+                test_set,
                 simulator.make_effective_simulator(),
-                self.bridging_faults,
+                universe,
                 stop_when_exhausted=undetectable,
             )
+        return (detectable, undetectable), selection
 
 
 _STUDIES: dict[tuple[str, StudyOptions], CircuitStudy] = {}

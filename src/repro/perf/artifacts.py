@@ -18,9 +18,8 @@ are deliberately excluded so renamed-but-identical machines share entries.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from contextlib import AbstractContextManager
+from typing import TYPE_CHECKING, Sequence
 
 from repro.fsm.kiss import KissMachine
 from repro.fsm.state_table import StateTable
@@ -36,6 +35,9 @@ from repro.obs.trace import span as trace_span
 from repro.perf.cache import active_cache, artifact_key
 from repro.sca import ScaAnalysis, analyze
 from repro.uio.search import UioTable, compute_uio_table
+
+if TYPE_CHECKING:
+    from repro.gatelevel.dispatch import FaultSimulator
 
 __all__ = [
     "STAGE_ATPG",
@@ -222,15 +224,25 @@ def cached_scan_circuit(
 
 
 def cached_detectability(
-    netlist: Netlist,
-    faults: Sequence[Fault],
+    simulator: FaultSimulator,
     *,
     circuit: str = "",
     timings: StageTimings | None = None,
 ) -> tuple[set[Fault], set[Fault]]:
-    """``(detectable, undetectable)`` partition via the exhaustive oracle."""
-    from repro.gatelevel.detectability import detectable_faults
+    """``(detectable, undetectable)`` partition of ``simulator``'s faults.
 
+    Computed by :func:`~repro.gatelevel.dispatch.detectable_partition`
+    from the simulator the caller already built: a reduction of its PPSFP
+    tables, or the cone walk when it has none.  The stage span records
+    which (``source="tables"|"cone"``), and the
+    ``detectability.faults.<source>`` counter adds up the faults judged
+    each way.  The key covers the netlist and the ordered fault universe
+    only, since both sources give the same partition.
+    """
+    from repro.gatelevel.dispatch import detectable_partition, partition_source
+
+    faults = simulator.faults
+    netlist = simulator.circuit.netlist
     cache = active_cache()
     key = ""
     if cache is not None:
@@ -241,11 +253,13 @@ def cached_detectability(
         if stored is not None:
             _record(timings, circuit, STAGE_DETECTABILITY, 0.0, "hit")
             return set(stored[0]), set(stored[1])
+    source = partition_source(simulator)
     with _staged(timings, circuit, STAGE_DETECTABILITY) as sp:
         if cache is not None:
             sp.set(cache="miss")
-        sp.set(n_faults=len(faults))
-        detectable, undetectable = detectable_faults(netlist, faults)
+        sp.set(n_faults=len(faults), source=source)
+        detectable, undetectable = detectable_partition(simulator)
+    counter_add(f"detectability.faults.{source}", len(faults))
     if cache is not None:
         cache.put(
             "detectability", key, (frozenset(detectable), frozenset(undetectable))

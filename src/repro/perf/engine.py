@@ -3,19 +3,22 @@
 The engine decomposes the per-circuit pipeline into three phases:
 
 1. **Prepare** (one task per circuit): UIO table, functional test generation,
-   synthesis + verification, fault enumeration, and the exhaustive
-   detectability oracle.  The artifact cache serves UIO tables, synthesized
-   circuits, and detectability partitions across runs.
+   synthesis + verification, static analysis and fault enumeration.  The
+   artifact cache serves UIO tables and synthesized circuits across runs.
 2. **Simulate** (one task per fault chunk): every (circuit, fault model)
    universe is split into engine-aware chunks (one whole-universe chunk for
    PPSFP, adaptive big-int batches otherwise); each task builds the
-   dispatched fault simulator for its chunk and produces one detection mask
-   per test.  Chunking is sound because detection of a fault never depends
-   on which other faults share the batch — each bit/row is its own machine
-   (see :mod:`repro.gatelevel.compiled`, :mod:`repro.gatelevel.ppsfp`).
+   dispatched fault simulator for its chunk, produces one detection mask
+   per test, and derives the chunk's detectability partition from that
+   same simulator (a reduction of the PPSFP tables, or the cone walk for a
+   big-int chunk; cached across runs).  Chunking is sound because
+   detection of a fault never depends on which other faults share the
+   batch — each bit/row is its own machine (see
+   :mod:`repro.gatelevel.compiled`, :mod:`repro.gatelevel.ppsfp`).
 3. **Select** (main process): chunk masks are merged into per-test detected
-   sets, and :func:`~repro.core.compaction.select_effective_tests` replays
-   the paper's longest-first effective-test selection against them.
+   sets, chunk partitions into the universe's partition, and
+   :func:`~repro.core.compaction.select_effective_tests` replays the
+   paper's longest-first effective-test selection against them.
 
 Parallel phases run on the **persistent worker pool**
 (:mod:`repro.perf.pool`): workers are forked once per process and reused
@@ -44,7 +47,7 @@ from repro.core.generator import GenerationResult, generate_tests
 from repro.core.testset import ScanTest
 from repro.fsm.state_table import StateTable
 from repro.gatelevel.bridging import enumerate_bridging_faults
-from repro.gatelevel.dispatch import make_fault_simulator
+from repro.gatelevel.dispatch import make_fault_simulator, uses_ppsfp_tables
 from repro.gatelevel.ppsfp import PpsfpSimulator
 from repro.gatelevel.scan import ScanCircuit
 from repro.harness.runtime import StageTimings, stopwatch
@@ -195,9 +198,7 @@ class _CircuitPrep:
     generation: GenerationResult
     scan_circuit: ScanCircuit | None
     stuck_at_faults: list[Fault] | None
-    stuck_at_detectability: tuple[set[Fault], set[Fault]] | None
     bridging_faults: list[Fault] | None
-    bridging_detectability: tuple[set[Fault], set[Fault]] | None
     #: tests in the exact order the effective-test selection simulates them
     tests: tuple[ScanTest, ...]
     timings: StageTimings
@@ -235,8 +236,7 @@ def _prepare_circuit_stages(
         # gate-level stages keeps serial and --jobs runs doing identical
         # work, which is what makes their ledger records jobs-invariant.
         return _CircuitPrep(
-            name, uio, generation, None, None, None, None, None,
-            tests, timings,
+            name, uio, generation, None, None, None, tests, timings
         )
     scan = cached_scan_circuit(
         load_kiss_machine(name), options.synthesis, table,
@@ -244,23 +244,10 @@ def _prepare_circuit_stages(
     )
     sca = cached_sca(scan.netlist, circuit=name, timings=timings)
     stuck_at: list[Fault] = list(sca.universe.representatives)
-    proven: frozenset[Fault] = frozenset(sca.untestable_representatives)
-    # Certificate-proved representatives skip the exhaustive oracle and the
-    # simulation chunks entirely: a verified certificate already places them
-    # in the undetectable bin, and equivalent faults share verdicts, so the
-    # merged partition is identical to grading the full representative list.
-    live = [fault for fault in stuck_at if fault not in proven]
-    detectable, undetectable = cached_detectability(
-        scan.netlist, live, circuit=name, timings=timings
-    )
-    stuck_at_detectability = (detectable, undetectable | set(proven))
     bridging: list[Fault] = list(
         enumerate_bridging_faults(
             scan.netlist, limit=options.bridging_pair_limit, seed=name
         )
-    )
-    bridging_detectability = cached_detectability(
-        scan.netlist, bridging, circuit=name, timings=timings
     )
     return _CircuitPrep(
         name,
@@ -268,26 +255,36 @@ def _prepare_circuit_stages(
         generation,
         scan,
         stuck_at,
-        stuck_at_detectability,
         bridging,
-        bridging_detectability,
         tests,
         timings,
-        stuck_at_proven=proven,
+        stuck_at_proven=frozenset(sca.untestable_representatives),
     )
 
 
 # -------------------------------------------------------- phase 2: simulate
 
 
-def _simulate_task(
-    snapshot: dict[str, Any], index: int
-) -> tuple[list[int], StageTimings, ObsSnapshot | None]:
-    """Detection mask per test for one fault chunk of one circuit.
+@dataclass
+class _ChunkResult:
+    """Phase-2 result of one fault chunk (picklable worker payload)."""
+
+    #: one detection mask per test, over the chunk's fault order
+    masks: list[int]
+    #: (detectable, undetectable) split of the chunk's faults
+    partition: tuple[set[Fault], set[Fault]]
+    timings: StageTimings
+    #: spans + metrics drained from the worker (``None`` when run inline)
+    obs: ObsSnapshot | None
+
+
+def _simulate_task(snapshot: dict[str, Any], index: int) -> _ChunkResult:
+    """Detection masks and detectability partition of one fault chunk.
 
     ``snapshot`` is the phase-primed artifact snapshot (see
     :func:`_run_phase`); ``index`` picks the chunk — the whole task message
-    is just that integer.
+    is just that integer.  The partition comes from the simulator built for
+    the masks, which is dropped when the task returns.
     """
     name, chunk = snapshot["chunks"][index]
     scan, table, tests = snapshot["circuits"][name]
@@ -307,11 +304,15 @@ def _simulate_task(
             masks = simulator.detect_masks(tests)
         timings.add(name, STAGE_FAULT_SIM, clock.elapsed_s)
         _report_chunk(chunk, masks, isinstance(simulator, PpsfpSimulator))
-    if cache is not None:
-        # The only cache traffic here is the compiled simulator source.
-        timings.cache_hits += cache.hits - hits
-        timings.cache_misses += cache.misses - misses
-    return masks, timings, worker_snapshot()
+        if cache is not None:
+            # The compiled simulator source; the detectability stage below
+            # records its own hit or miss.
+            timings.cache_hits += cache.hits - hits
+            timings.cache_misses += cache.misses - misses
+        partition = cached_detectability(
+            simulator, circuit=name, timings=timings
+        )
+    return _ChunkResult(masks, partition, timings, worker_snapshot())
 
 
 def _report_chunk(chunk: list[Fault], masks: list[int], ppsfp: bool) -> None:
@@ -344,12 +345,18 @@ def _fault_chunks(
     faultsim: FaultSimConfig,
     n_pattern_bits: int,
     total_test_cycles: int,
+    *,
+    n_primary_outputs: int = 0,
 ) -> list[list[Fault]]:
     """Engine-aware chunks of one (circuit, fault model) universe.
 
     The PPSFP engine amortizes one exhaustive table build across the whole
     universe, so it gets a single chunk; the big-int engine gets balanced
-    adaptive batch words.  Chunk boundaries are jobs-invariant — the
+    adaptive batch words.  The engine is decided by
+    :func:`~repro.gatelevel.dispatch.uses_ppsfp_tables`, the predicate the
+    simulator factory applies to the same universe, so a chunk always
+    matches the simulator built for it (``n_primary_outputs`` matters only
+    beyond 32 output bits).  Chunk boundaries are jobs-invariant — the
     persistent pool load-balances chunks dynamically instead of shrinking
     them per worker (which used to recompile the same circuit once per
     worker and made parallel runs *slower* than serial).  Boundaries never
@@ -358,8 +365,9 @@ def _fault_chunks(
     n = len(faults)
     if n == 0:
         return []
-    engine = faultsim.select_engine(n, n_pattern_bits, total_test_cycles)
-    if engine == "ppsfp":
+    if uses_ppsfp_tables(
+        faultsim, n, n_pattern_bits, n_primary_outputs, total_test_cycles
+    ):
         return [faults]
     size = faultsim.resolved_batch_bits(n)
     return [faults[start : start + size] for start in range(0, n, size)]
@@ -372,14 +380,14 @@ def _select_from_masks(
     prep: _CircuitPrep,
     faults: list[Fault],
     chunks: list[list[Fault]],
-    chunk_masks: list[list[int]],
+    results: list[_ChunkResult],
     undetectable: set[Fault],
     use_stop: bool,
 ) -> EffectiveSelection:
     """Replay the serial effective-test selection from precomputed masks."""
     per_test: list[set[Fault]] = [set() for _ in prep.tests]
-    for chunk, masks in zip(chunks, chunk_masks):
-        for index, mask in enumerate(masks):
+    for chunk, result in zip(chunks, results):
+        for index, mask in enumerate(result.masks):
             detected = per_test[index]
             while mask:
                 low = (mask & -mask).bit_length() - 1
@@ -513,7 +521,10 @@ def compute_studies(
                 # Certificate-proved faults are already in the undetectable
                 # bin; simulating them would only burn fault-sim cycles.
                 faults = [f for f in faults if f not in prep.stuck_at_proven]
-            chunks = _fault_chunks(faults, faultsim, pattern_bits, total_cycles)
+            chunks = _fault_chunks(
+                faults, faultsim, pattern_bits, total_cycles,
+                n_primary_outputs=scan.n_primary_outputs,
+            )
             chunk_lists[(prep.name, model)] = chunks
             positions: list[int] = []
             for chunk in chunks:
@@ -527,16 +538,12 @@ def compute_studies(
             "chunks": sim_chunks,
             "faultsim": faultsim,
         }
-        sim_results: list[tuple[list[int], StageTimings, ObsSnapshot | None]] = (
-            _run_phase(
-                jobs, _simulate_task, simulate_snapshot, len(sim_chunks),
-                progress=progress_meter(
-                    "simulate", len(sim_chunks), circuits=names
-                ),
-            )
+        sim_results: list[_ChunkResult] = _run_phase(
+            jobs, _simulate_task, simulate_snapshot, len(sim_chunks),
+            progress=progress_meter("simulate", len(sim_chunks), circuits=names),
         )
         for result in sim_results:
-            absorb_snapshot(result[2])
+            absorb_snapshot(result.obs)
 
     artifacts: dict[str, StudyArtifacts] = {}
     with trace_span("sweep.select", circuits=len(names)):
@@ -544,30 +551,37 @@ def compute_studies(
             if timings is not None:
                 timings.merge(prep.timings)
             selections: dict[str, EffectiveSelection] = {}
-            for model, faults, detectability in (
-                ("stuck_at", prep.stuck_at_faults or [],
-                 prep.stuck_at_detectability or (set(), set())),
-                ("bridging", prep.bridging_faults or [],
-                 prep.bridging_detectability or (set(), set())),
+            partitions: dict[str, tuple[set[Fault], set[Fault]]] = {}
+            for model, faults in (
+                ("stuck_at", prep.stuck_at_faults or []),
+                ("bridging", prep.bridging_faults or []),
             ):
-                positions = chunk_index[(prep.name, model)]
-                chunk_masks = [sim_results[position][0] for position in positions]
-                if timings is not None:
-                    for position in positions:
-                        timings.merge(sim_results[position][1])
+                results = [
+                    sim_results[position]
+                    for position in chunk_index[(prep.name, model)]
+                ]
+                detectable: set[Fault] = set()
+                undetectable: set[Fault] = set()
+                for result in results:
+                    detectable |= result.partition[0]
+                    undetectable |= result.partition[1]
+                    if timings is not None:
+                        timings.merge(result.timings)
+                if model == "stuck_at":
+                    undetectable |= prep.stuck_at_proven
+                partitions[model] = (detectable, undetectable)
                 if model == "bridging" and not faults:
                     # Mirror CircuitStudy: empty bridging universe selects nothing.
                     selections[model] = select_effective_tests(
                         prep.generation.test_set, lambda test, remaining: set(), ()
                     )
                     continue
-                _, undetectable = detectability
                 selections[model] = _select_from_masks(
                     prep,
                     faults,
                     chunk_lists[(prep.name, model)],
-                    chunk_masks,
-                    set(undetectable),
+                    results,
+                    undetectable,
                     use_stop=True,
                 )
             artifacts[prep.name] = StudyArtifacts(
@@ -576,10 +590,10 @@ def compute_studies(
                 prep.generation,
                 prep.scan_circuit,
                 prep.stuck_at_faults,
-                prep.stuck_at_detectability,
+                partitions["stuck_at"],
                 selections["stuck_at"],
                 prep.bridging_faults,
-                prep.bridging_detectability,
+                partitions["bridging"],
                 selections["bridging"],
                 stuck_at_proven=prep.stuck_at_proven,
             )

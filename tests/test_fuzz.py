@@ -100,6 +100,7 @@ class TestOracleRegistry:
     def test_oracles_registered(self):
         assert len(oracle_names()) >= 8
         assert "sim-ppsfp-vs-bigint" in oracle_names()
+        assert "detect-ppsfp-vs-cone" in oracle_names()
         assert oracle_names() == tuple(sorted(oracle_names()))
 
     def test_unknown_oracle_raises(self):
@@ -198,6 +199,21 @@ class TestBrokenImplementationsAreCaught:
         )
         with pytest.raises(OracleFailure, match="diverge"):
             get_oracle("sim-equivalence").run(case)
+
+    def test_detect_ppsfp_vs_cone_catches_blind_reduction(self, monkeypatch):
+        import numpy as np
+
+        from repro.gatelevel.ppsfp import PpsfpSimulator
+
+        spec = MachineSpec("dense", 5, 1, 1, 5)  # 5 states: unassigned codes
+        case = FuzzCase(spec.label(), generate_machine(spec), spec=spec)
+        get_oracle("detect-ppsfp-vs-cone").run(case)  # healthy first
+        monkeypatch.setattr(
+            PpsfpSimulator, "detectable_rows",
+            lambda self: np.zeros(len(self.faults), dtype=bool),
+        )
+        with pytest.raises(OracleFailure, match="judged differently"):
+            get_oracle("detect-ppsfp-vs-cone").run(case)
 
     def test_scan_vs_nonscan_catches_blind_simulator(self, monkeypatch):
         case = small_case()
